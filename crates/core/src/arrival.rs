@@ -24,16 +24,17 @@
 //!
 //! Replays are bit-deterministic: virtual time only, seeded generation,
 //! FIFO tie-breaking in the event queue, and solver paths whose results
-//! are independent of thread count (node-budgeted solves are routed to
+//! are independent of thread count (every solve goes through
+//! [`SchedulerConfig::solve_plan`], which routes node-budgeted solves to
 //! the sequential solver for exactly this reason). Two replays of the
 //! same trace — on any worker count — produce byte-identical JSON
 //! reports, which the `dynamic-gate` CI job checks on a 10k-event trace.
 
-use crate::cache::ScheduleCache;
+use crate::cache::{ShardedCache, WorkloadSignature};
 use crate::encoding::ScheduleEncoding;
 use crate::error::{parse_model, HaxError};
 use crate::problem::{DnnTask, SchedulerConfig, Workload};
-use crate::scheduler::{objective_cost, Schedule, ScheduleOrigin};
+use crate::scheduler::objective_cost;
 use crate::timeline::TimelineEvaluator;
 use crate::validate::validate_timeline;
 use haxconn_contention::ContentionModel;
@@ -41,10 +42,7 @@ use haxconn_des::{Engine, EventQueue, SimModel, SimTime};
 use haxconn_dnn::Model;
 use haxconn_profiler::NetworkProfile;
 use haxconn_soc::{Platform, PuId};
-use haxconn_solver::{
-    solve, solve_parallel_with, solve_portfolio, CostModel, ParallelOptions, PortfolioOptions,
-    SolveOptions,
-};
+use haxconn_solver::{CostModel, SolveOptions};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
@@ -277,14 +275,20 @@ pub enum ResolvePolicy {
     },
 }
 
+/// Joint workloads with at least this many decision variables take the
+/// portfolio solver path (B&B raced against LNS).
+const PORTFOLIO_VARS: usize = 24;
+
 /// Options of an arrival replay.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
     /// Re-solve policy.
     pub policy: ResolvePolicy,
-    /// Scheduler configuration for the re-solves. `node_budget` is
-    /// honored but routed to the *sequential* solver (a globally shared
-    /// atomic budget makes parallel results timing-dependent).
+    /// Scheduler configuration for the re-solves. The replay picks the
+    /// solver flavor itself (parallel B&B, or the portfolio from 24
+    /// decision variables up); a `node_budget` routes every solve to the
+    /// sequential solver instead, as [`SchedulerConfig::solve_plan`]
+    /// prescribes.
     pub config: SchedulerConfig,
     /// Validate every schedule adopted at every re-solve point against
     /// the timeline invariant suite, counting violations in the report.
@@ -294,9 +298,6 @@ pub struct ReplayOptions {
     pub record_resolves: bool,
     /// Extra accounting time after the last event, ms.
     pub tail_ms: f64,
-    /// Joint workloads with at least this many decision variables take
-    /// the portfolio solver path (B&B raced against LNS).
-    pub portfolio_vars: usize,
     /// Worker threads for the parallel solver path (0 = all cores). The
     /// replay is bit-identical across worker counts — the determinism
     /// gate replays the same trace at several values and compares bytes.
@@ -311,7 +312,6 @@ impl Default for ReplayOptions {
             validate: false,
             record_resolves: true,
             tail_ms: 0.0,
-            portfolio_vars: 24,
             workers: 0,
         }
     }
@@ -454,7 +454,8 @@ struct Sim<'a> {
     options: ReplayOptions,
     trace: &'a ArrivalTrace,
     profiles: FxHashMap<(Model, usize), NetworkProfile>,
-    cache: ScheduleCache,
+    /// Adopted rows per tenant mix, in canonical tenant order.
+    cache: ShardedCache<WorkloadSignature, Vec<Vec<PuId>>>,
     active: Vec<Tenant>,
     departed: Vec<Departed>,
     last_switch_ms: f64,
@@ -605,8 +606,8 @@ impl<'a> Sim<'a> {
         seed_rows: &[Vec<PuId>],
         seed_cost: f64,
     ) -> (Vec<Vec<PuId>>, ResolveAction) {
-        if let Some(hit) = self.cache.get(workload) {
-            let rows = hit.assignment.clone();
+        let signature = WorkloadSignature::of(workload);
+        if let Some(rows) = self.cache.get(&signature) {
             return (rows, ResolveAction::CacheHit);
         }
         let solve_started = std::time::Instant::now();
@@ -630,55 +631,22 @@ impl<'a> Sim<'a> {
             initial_incumbent: seed,
             ..Default::default()
         };
-        let best = if relaxed.node_budget.is_some() {
-            // A node budget is drained from a globally shared atomic in
-            // the parallel solvers — which nodes it covers depends on
-            // timing. Sequential keeps budgeted replays deterministic.
-            solve(&enc, opts).best
-        } else if enc.num_vars() >= self.options.portfolio_vars {
-            solve_portfolio(
-                &enc,
-                opts,
-                &PortfolioOptions {
-                    bb_threads: self.options.workers,
-                    lns_workers: relaxed.lns_workers.max(1),
-                    ..Default::default()
-                },
-            )
-            .best
-        } else {
-            solve_parallel_with(
-                &enc,
-                opts,
-                &ParallelOptions {
-                    threads: self.options.workers,
-                    ..Default::default()
-                },
-            )
-            .best
-        };
-        let rows = match best {
+        let plan = SchedulerConfig {
+            parallel_solve: true,
+            portfolio_solve: enc.num_vars() >= PORTFOLIO_VARS,
+            ..relaxed
+        }
+        .solve_plan(self.options.workers);
+        let rows = match plan.run(&enc, opts).best {
             Some((a, _)) => enc.to_rows(&a),
             // Nothing beat the warm start: the patched incumbent *is*
             // the optimum-cost schedule for this mix.
             None => seed_rows.to_vec(),
         };
-        // Cache under the mix signature so the next time this tenant
-        // combination appears the schedule is instant.
-        let mut ev = TimelineEvaluator::new(workload, self.contention);
-        ev.contention_aware = self.options.config.contention_aware;
-        let predicted = ev.evaluate(&rows);
-        let cost = objective_cost(self.options.config.objective, &predicted);
-        self.cache.insert(
-            workload,
-            Schedule {
-                assignment: rows.clone(),
-                predicted,
-                cost,
-                origin: ScheduleOrigin::Optimal,
-                proven_optimal: relaxed.node_budget.is_none(),
-            },
-        );
+        // Cache the rows under the mix signature so the next time this
+        // tenant combination appears the schedule is instant (`adopt`
+        // evaluates them either way).
+        self.cache.insert(signature, rows.clone());
         if haxconn_telemetry::enabled() {
             haxconn_telemetry::histogram_record(
                 "dynamic.resolve.ms",
@@ -1052,7 +1020,7 @@ pub fn replay(
         options: options.clone(),
         trace,
         profiles: FxHashMap::default(),
-        cache: ScheduleCache::new(),
+        cache: ShardedCache::for_phases(),
         active: Vec::new(),
         departed: Vec::new(),
         last_switch_ms: 0.0,
@@ -1072,7 +1040,7 @@ pub fn replay(
     }
     let mut report = sim.report;
     report.horizon_ms = horizon;
-    (report.cache_hits, report.cache_misses) = sim.cache.stats();
+    (report.cache_hits, report.cache_misses, _) = sim.cache.stats();
     // Join order == tenant id order (names are assigned in join order by
     // the generator; for hand-written traces, join-time order).
     sim.departed.sort_by(|a, b| a.stats.name.cmp(&b.stats.name));

@@ -21,7 +21,7 @@ use crate::scheduler::{objective_cost, Schedule, ScheduleOrigin};
 use crate::timeline::TimelineEvaluator;
 use haxconn_contention::ContentionModel;
 use haxconn_soc::{Platform, PuId};
-use haxconn_solver::{solve_parallel, SolveOptions};
+use haxconn_solver::{ParallelOptions, SolveOptions, SolvePlan};
 use std::time::Duration;
 
 /// One recorded incumbent improvement.
@@ -42,7 +42,8 @@ pub struct Incumbent {
 /// but it makes `schedule_at` checkpoints nondeterministic across runs and
 /// machines. Tests, the arrival-trace fuzzer, and the determinism gates use
 /// [`IncumbentClock::Virtual`], which stamps the k-th improvement at
-/// `k * tick` of virtual time so replays are bit-identical.
+/// `k * tick` of virtual time and solves sequentially, so replays are
+/// bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IncumbentClock {
     /// Use the solver's wall-clock offsets (default; nondeterministic).
@@ -135,7 +136,17 @@ impl DHaxConn {
             let trace_ref = &mut trace;
             let enc_ref = &enc;
             let mut seen = 0u32;
-            solve_parallel(
+            // Wall-clock runs want early incumbents, so they keep the
+            // parallel flavor even under a node budget. A virtual clock
+            // promises bit-identical replays instead, and only the
+            // sequential solver reports the same incumbent sequence on
+            // every run: parallel workers race to publish improvements,
+            // so how many intermediate ones surface depends on timing.
+            let plan = match clock {
+                IncumbentClock::Solver => SolvePlan::Parallel(ParallelOptions::default()),
+                IncumbentClock::Virtual { .. } => SolvePlan::Sequential,
+            };
+            plan.run(
                 &enc,
                 SolveOptions {
                     node_budget: config.node_budget,

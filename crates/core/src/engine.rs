@@ -27,9 +27,9 @@
 //! response for the same canonical spec is bit-identical — the serving
 //! bench machine-checks this against a local `Session::schedule`.
 
+use crate::cache::{CacheMetrics, ShardedCache};
 use crate::error::{parse_platform, HaxError};
 use crate::scheduler::{HaxConn, Schedule, Transition};
-use crate::shard_cache::ShardedCache;
 use crate::spec::WorkloadSpec;
 use haxconn_contention::ContentionModel;
 use haxconn_soc::Platform;
@@ -57,12 +57,14 @@ pub struct SolvedEntry {
     pub transitions: Vec<Transition>,
 }
 
+/// Shards of the engine's schedule cache: enough to keep worker threads
+/// off each other's locks without fragmenting the LRU meaningfully.
+const CACHE_SHARDS: usize = 8;
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Shards of the schedule cache.
-    pub cache_shards: usize,
-    /// Total schedule-cache capacity across shards.
+    /// Total schedule-cache capacity across its 8 shards.
     pub cache_capacity: usize,
     /// Concurrent solve limit (`None` = unlimited; `Some(0)` = never
     /// solve, always degrade/reject — useful as a cached-only mode).
@@ -78,8 +80,7 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            cache_shards: ShardedCache::<Arc<SolvedEntry>>::DEFAULT_SHARDS,
-            cache_capacity: ShardedCache::<Arc<SolvedEntry>>::DEFAULT_CAPACITY,
+            cache_capacity: 1024,
             max_concurrent_solves: None,
             max_pending_solves: 64,
             degrade_on_overload: true,
@@ -270,7 +271,7 @@ impl SolveGate {
 /// The thread-shareable scheduling engine. See the module docs for the
 /// cache / coalescing / admission / degradation design.
 pub struct Engine {
-    cache: ShardedCache<Arc<SolvedEntry>>,
+    cache: ShardedCache<String, Arc<SolvedEntry>>,
     inflight: Mutex<FxHashMap<String, Arc<Inflight>>>,
     /// Keys with a solver run currently executing — the measurement
     /// behind `duplicate_inflight_solves`.
@@ -290,7 +291,11 @@ impl Engine {
     /// An engine with the given options.
     pub fn new(options: EngineOptions) -> Self {
         Engine {
-            cache: ShardedCache::with_shards(options.cache_shards, options.cache_capacity),
+            cache: ShardedCache::with_shards(
+                CACHE_SHARDS,
+                options.cache_capacity,
+                CacheMetrics::ENGINE,
+            ),
             inflight: Mutex::new(FxHashMap::default()),
             solving: Mutex::new(FxHashSet::default()),
             gate: SolveGate::new(options.max_concurrent_solves, options.max_pending_solves),

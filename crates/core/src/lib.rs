@@ -38,7 +38,7 @@
 //! * [`spec`] — the serializable, canonicalizable [`WorkloadSpec`]
 //!   request type shared by the CLI, `Session`, and `haxconn serve`,
 //! * [`engine`] — the thread-shareable serving [`Engine`] (sharded
-//!   [`shard_cache`] cache, request coalescing, admission control,
+//!   schedule [`cache`], request coalescing, admission control,
 //!   degraded baseline fallback),
 //! * [`mod@measure`] — conversion of schedules into ground-truth simulator runs
 //!   and paper-style metrics (latency, FPS, slowdown).
@@ -57,7 +57,6 @@ pub mod measure;
 pub mod problem;
 pub mod scenario;
 pub mod scheduler;
-pub mod shard_cache;
 pub mod spec;
 pub mod timeline;
 pub mod trace;
@@ -68,7 +67,7 @@ pub use arrival::{
     ResolvePoint, ResolvePolicy, SlaClass, TenantEvent, TenantReport, TenantSpec, TenantStats,
 };
 pub use baselines::{Baseline, BaselineKind};
-pub use cache::{ScheduleCache, WorkloadSignature};
+pub use cache::{CacheMetrics, ShardedCache, WorkloadSignature};
 pub use dynamic::{DHaxConn, IncumbentClock};
 pub use encoding::{ScheduleEncoding, ScheduleScratch};
 pub use energy::{dynamic_energy_mj, dynamic_energy_with, energy_of, schedule_min_energy};
@@ -81,7 +80,6 @@ pub use measure::{measure, DesWork, Measurement};
 pub use problem::{DnnTask, Objective, SchedulerConfig, Workload};
 pub use scenario::{generate_instance, generate_instance_on, GeneratedInstance, Scenario};
 pub use scheduler::{HaxConn, Schedule, ScheduleOrigin, Transition};
-pub use shard_cache::ShardedCache;
 pub use spec::{TaskSpec, WorkloadSpec};
 pub use timeline::{PredictedTimeline, TimelineEvaluator, TimelineSummary, TimelineWorkspace};
 pub use trace::{chrome_trace_json, chrome_trace_json_with_snapshot};

@@ -2,6 +2,7 @@
 
 use crate::error::HaxError;
 use haxconn_profiler::NetworkProfile;
+use haxconn_solver::{ParallelOptions, PortfolioOptions, SolvePlan};
 use serde::{Deserialize, Serialize};
 
 /// One DNN inference task to schedule (an *instance* — the same network may
@@ -248,10 +249,12 @@ pub struct SchedulerConfig {
     /// search space the "relatively small parameter search space" the paper
     /// relies on. Optimal schedules in Table 6 use at most 2.
     pub max_transitions_per_task: usize,
-    /// Solver node budget (None = run to proven optimality). The budget
-    /// is global: with the parallel solver, all workers draw from one
-    /// shared atomic counter, so `Some(n)` means at most `n` search nodes
-    /// in total — never `n` per subtree or per thread.
+    /// Solver node budget (None = run to proven optimality). A budget
+    /// selects the sequential solver whatever the flavor flags say (see
+    /// [`SchedulerConfig::solve_plan`]): the parallel flavors drain one
+    /// shared atomic counter, so which `n` nodes a budget covers would
+    /// depend on thread timing, and a budgeted schedule would not be
+    /// reproducible.
     pub node_budget: Option<u64>,
     /// Whether contention enters the cost function (disabled only by the
     /// contention-blind ablation).
@@ -259,14 +262,16 @@ pub struct SchedulerConfig {
     /// Solve with the work-stealing parallel branch & bound (the search
     /// frontier is split into many prefix subtrees that idle workers
     /// claim). Same optimum, deterministic result; mostly useful for the
-    /// large Inception-ResNet-v2-class encodings.
+    /// large Inception-ResNet-v2-class encodings. Ignored under a
+    /// [`node_budget`](Self::node_budget).
     pub parallel_solve: bool,
     /// Solve with the portfolio: parallel branch & bound racing
     /// [`lns_workers`](Self::lns_workers) large-neighborhood-search
-    /// workers over a shared incumbent. If B&B exhausts the tree the
-    /// result is still proven optimal; under budgets the best candidate
-    /// found by either side wins. Takes precedence over
-    /// [`parallel_solve`](Self::parallel_solve).
+    /// workers over a shared incumbent. B&B still exhausts the tree, so
+    /// the result is the proven optimum, reached sooner. Takes precedence
+    /// over [`parallel_solve`](Self::parallel_solve). Ignored under a
+    /// [`node_budget`](Self::node_budget), where the race would return
+    /// whichever candidate its threads reached, differing run to run.
     pub portfolio_solve: bool,
     /// Number of LNS workers the portfolio races alongside B&B (only
     /// read when [`portfolio_solve`](Self::portfolio_solve) is set; must
@@ -328,6 +333,34 @@ impl SchedulerConfig {
             ));
         }
         Ok(())
+    }
+
+    /// The solver flavor this configuration asks for, with `workers`
+    /// solver threads (0 = one per CPU). This is the one place the
+    /// determinism rule lives: a [`node_budget`](Self::node_budget)
+    /// means [`SolvePlan::Sequential`]; otherwise
+    /// [`portfolio_solve`](Self::portfolio_solve) means
+    /// [`SolvePlan::Portfolio`], [`parallel_solve`](Self::parallel_solve)
+    /// means [`SolvePlan::Parallel`], and anything else is sequential.
+    /// Every plan it returns gives the same answer on every run and at
+    /// every worker count.
+    pub fn solve_plan(&self, workers: usize) -> SolvePlan {
+        if self.node_budget.is_some() {
+            SolvePlan::Sequential
+        } else if self.portfolio_solve {
+            SolvePlan::Portfolio(PortfolioOptions {
+                bb_threads: workers,
+                lns_workers: self.lns_workers.max(1),
+                ..Default::default()
+            })
+        } else if self.parallel_solve {
+            SolvePlan::Parallel(ParallelOptions {
+                threads: workers,
+                ..Default::default()
+            })
+        } else {
+            SolvePlan::Sequential
+        }
     }
 }
 

@@ -7,10 +7,7 @@ use crate::problem::{Objective, SchedulerConfig, Workload};
 use crate::timeline::{PredictedTimeline, TimelineEvaluator};
 use haxconn_contention::ContentionModel;
 use haxconn_soc::{Platform, PuId, PuKind};
-use haxconn_solver::{
-    solve, solve_parallel, solve_portfolio, Assignment, CostModel, PortfolioOptions, SolveOptions,
-    Symmetric,
-};
+use haxconn_solver::{Assignment, SolveOptions, Symmetric};
 
 /// An inter-accelerator transition in a schedule (the "TR / Dir." columns of
 /// Table 6).
@@ -143,18 +140,21 @@ impl HaxConn {
         workload.validate()?;
         config.validate()?;
         let schedule_started = std::time::Instant::now();
-        // Solver dispatch: portfolio > parallel B&B > sequential B&B,
-        // optionally restricted to canonical representatives when the
-        // instance has detectable symmetries.
+        // The configured solver flavor, optionally restricted to
+        // canonical representatives when the instance has detectable
+        // symmetries.
+        let plan = config.solve_plan(0);
         let run_solver = |enc: &ScheduleEncoding<'_>| -> (Option<(Assignment, f64)>, bool) {
-            if config.break_symmetry {
-                let spec = enc.symmetry_spec(platform);
-                if !spec.is_empty() {
-                    let sym = Symmetric::new(enc, spec);
-                    return dispatch_solver(&sym, &config);
-                }
-            }
-            dispatch_solver(enc, &config)
+            let opts = SolveOptions {
+                node_budget: config.node_budget,
+                ..Default::default()
+            };
+            let out = match config.break_symmetry.then(|| enc.symmetry_spec(platform)) {
+                Some(spec) if !spec.is_empty() => plan.run(&Symmetric::new(enc, spec), opts),
+                _ => plan.run(enc, opts),
+            };
+            let proven = out.proven_optimal();
+            (out.best, proven)
         };
 
         // 1. Solve the strict formulation.
@@ -336,39 +336,6 @@ impl HaxConn {
     }
 }
 
-/// Runs the configured solver flavor on any [`CostModel`] and returns
-/// `(best, proven_optimal)` — the common denominator of [`solve`],
-/// [`solve_parallel`] and [`solve_portfolio`] results.
-fn dispatch_solver<M: CostModel + Sync>(
-    m: &M,
-    config: &SchedulerConfig,
-) -> (Option<(Assignment, f64)>, bool) {
-    let opts = SolveOptions {
-        node_budget: config.node_budget,
-        ..Default::default()
-    };
-    if config.portfolio_solve {
-        let out = solve_portfolio(
-            m,
-            opts,
-            &PortfolioOptions {
-                lns_workers: config.lns_workers.max(1),
-                ..Default::default()
-            },
-        );
-        let proven = out.proven_optimal();
-        (out.best, proven)
-    } else if config.parallel_solve {
-        let sol = solve_parallel(m, opts);
-        let proven = sol.proven_optimal();
-        (sol.best, proven)
-    } else {
-        let sol = solve(m, opts);
-        let proven = sol.proven_optimal();
-        (sol.best, proven)
-    }
-}
-
 /// Maps a predicted timeline to the (minimized) objective value.
 pub fn objective_cost(objective: Objective, tl: &PredictedTimeline) -> f64 {
     match objective {
@@ -508,21 +475,35 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_with_budget_still_finds_a_schedule() {
-        let (p, w, cm) = setup(&[Model::GoogleNet, Model::ResNet101], 8);
-        let s = HaxConn::schedule(
-            &p,
-            &w,
-            &cm,
-            SchedulerConfig {
-                portfolio_solve: true,
-                node_budget: Some(500),
-                ..Default::default()
-            },
-        );
-        // Budget-starved B&B may not prove, but the LNS side plus the
-        // never-worse fallback always yield a complete schedule.
-        assert_eq!(s.assignment.len(), w.tasks.len());
+    fn budgeted_flavors_reproduce_the_sequential_schedule() {
+        // A budgeted race returns whichever candidate its threads reached
+        // first, so a budget must pin every flavor to the sequential
+        // solver: repeated runs agree bit for bit, across flavors too.
+        let g = crate::scenario::generate_instance(1, 3, 5);
+        let cm = ContentionModel::calibrate(&g.platform);
+        let budgeted = SchedulerConfig {
+            node_budget: Some(2000),
+            ..g.config
+        };
+        let run = |cfg: SchedulerConfig| {
+            let s = HaxConn::schedule(&g.platform, &g.workload, &cm, cfg);
+            (s.cost.to_bits(), s.assignment)
+        };
+        let sequential = run(budgeted);
+        let portfolio = SchedulerConfig {
+            portfolio_solve: true,
+            lns_workers: 1,
+            ..budgeted
+        };
+        let parallel = SchedulerConfig {
+            parallel_solve: true,
+            ..budgeted
+        };
+        for cfg in [portfolio, parallel] {
+            for i in 0..8 {
+                assert_eq!(run(cfg), sequential, "run {i} of {cfg:?}");
+            }
+        }
     }
 
     #[test]

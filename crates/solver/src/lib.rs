@@ -14,7 +14,9 @@
 //!   provides admissible lower bounds for partial assignments, and can
 //!   prune subtrees via domain-specific feasibility checks,
 //! * depth-first **branch & bound** with incumbent bounding
-//!   ([`solve`]) — guaranteed optimal when run to completion,
+//!   ([`solve`]) — guaranteed optimal when run to completion — plus a
+//!   work-stealing parallel variant and a B&B ∥ LNS portfolio, all run
+//!   through one [`SolvePlan`],
 //! * an **anytime** interface: every strictly improving incumbent is
 //!   reported through a callback together with the solve clock, which is
 //!   what D-HaX-CoNN uses to swap better schedules in mid-flight (paper
@@ -28,12 +30,14 @@ pub mod bb;
 pub mod lns;
 pub mod model;
 pub mod parallel;
+pub mod plan;
 pub mod portfolio;
 pub mod symmetry;
 
 pub use bb::{solve, solve_with, BudgetState, Solution, SolveOptions, SolveStats, Workspace};
 pub use lns::{solve_lns, LnsOptions, LnsStats};
 pub use model::{brute_force, Assignment, CostModel, NonIncremental, PartialAssignment};
-pub use parallel::{solve_parallel, solve_parallel_with, ParallelOptions};
+pub use parallel::{solve_parallel_with, ParallelOptions};
+pub use plan::SolvePlan;
 pub use portfolio::{solve_portfolio, Exactness, PortfolioOptions, SolveOutcome, Winner};
 pub use symmetry::{Symmetric, SymmetrySpec};

@@ -321,11 +321,6 @@ pub(crate) fn bb_worker<M: CostModel + Sync>(
         .push((items_claimed, worker_started.elapsed().as_secs_f64() * 1e3));
 }
 
-/// Minimizes `model` on all available CPUs. See [`solve_parallel_with`].
-pub fn solve_parallel<M: CostModel + Sync>(model: &M, opts: SolveOptions<'_>) -> Solution {
-    solve_parallel_with(model, opts, &ParallelOptions::default())
-}
-
 /// Minimizes `model` with a work-stealing worker pool over a depth-`d`
 /// frontier (see the module docs for the execution and determinism
 /// model). Budgets in `opts` are global across all workers, and
@@ -504,7 +499,7 @@ mod tests {
         for seed in 0..10 {
             let m = instance(seed, 8);
             let seq = solve(&m, SolveOptions::default());
-            let par = solve_parallel(&m, SolveOptions::default());
+            let par = solve_parallel_with(&m, SolveOptions::default(), &ParallelOptions::default());
             let bf = brute_force(&m);
             match (&seq.best, &par.best, &bf) {
                 (Some((a_seq, c_seq)), Some((a_par, c_par)), Some((_, c_bf))) => {
@@ -606,7 +601,7 @@ mod tests {
             }
         }
         let m = OneValue(m);
-        let par = solve_parallel(&m, SolveOptions::default());
+        let par = solve_parallel_with(&m, SolveOptions::default(), &ParallelOptions::default());
         assert!(par.best.is_none());
         assert!(par.proven_optimal());
     }
@@ -616,21 +611,23 @@ mod tests {
         let m = instance(5, 7);
         let opt = solve(&m, SolveOptions::default()).best.unwrap().1;
         // A warm bound below the optimum prunes everything away.
-        let par = solve_parallel(
+        let par = solve_parallel_with(
             &m,
             SolveOptions {
                 initial_upper_bound: Some(opt - 1.0),
                 ..Default::default()
             },
+            &ParallelOptions::default(),
         );
         assert!(par.best.is_none());
         // At the optimum + epsilon, it finds the optimum.
-        let par = solve_parallel(
+        let par = solve_parallel_with(
             &m,
             SolveOptions {
                 initial_upper_bound: Some(opt + 1e-6),
                 ..Default::default()
             },
+            &ParallelOptions::default(),
         );
         assert!((par.best.unwrap().1 - opt).abs() < 1e-9);
     }

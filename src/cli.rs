@@ -12,7 +12,7 @@
 use crate::prelude::*;
 use haxconn_core::{
     chrome_trace_json, chrome_trace_json_with_snapshot, energy_of, schedule_min_energy, DHaxConn,
-    ScheduleCache,
+    ShardedCache, WorkloadSignature,
 };
 use haxconn_soc::PowerModel;
 use haxconn_telemetry as tel;
@@ -755,80 +755,55 @@ fn telemetry_finish(
     Ok(snap)
 }
 
-/// Solver dispatch behind `haxconn solve`, shared by the plain and the
+/// Runs `plan` behind `haxconn solve`, shared by the plain and the
 /// symmetry-broken paths (which differ only in the model type).
-fn run_solve_flavor<M: haxconn_solver::CostModel + Sync>(
+fn run_solve_plan<M: haxconn_solver::CostModel + Sync>(
     m: &M,
+    plan: &haxconn_solver::SolvePlan,
     seed_inc: &Option<(Vec<u32>, f64)>,
-    portfolio: bool,
-    lns_workers: usize,
     budget: Option<u64>,
     out: &mut String,
 ) -> Result<Option<(Vec<u32>, f64)>, HaxError> {
     use haxconn_solver as hs;
-    let opts = || hs::SolveOptions {
-        node_budget: budget,
-        initial_incumbent: seed_inc.clone(),
-        ..Default::default()
-    };
     let started = std::time::Instant::now();
-    if portfolio {
-        let outcome = hs::solve_portfolio(
-            m,
-            opts(),
-            &hs::PortfolioOptions {
-                lns_workers,
-                ..Default::default()
-            },
-        );
-        let winner = match outcome.winner {
-            Some(hs::Winner::BranchAndBound) => "branch & bound",
-            Some(hs::Winner::Lns) => "LNS",
-            Some(hs::Winner::Seed) => "baseline seed",
-            None => "none",
-        };
-        writeln!(
+    let outcome = plan.run(
+        m,
+        hs::SolveOptions {
+            node_budget: budget,
+            initial_incumbent: seed_inc.clone(),
+            ..Default::default()
+        },
+    );
+    let winner = match outcome.winner {
+        Some(hs::Winner::BranchAndBound) => "branch & bound",
+        Some(hs::Winner::Lns) => "LNS",
+        Some(hs::Winner::Seed) => "baseline seed",
+        None => "none",
+    };
+    write!(out, "{}: {} B&B nodes", plan.label(), outcome.stats.nodes)?;
+    if let hs::SolvePlan::Portfolio(_) = plan {
+        let lns = &outcome.lns;
+        write!(
             out,
-            "portfolio: {} B&B nodes, {} LNS iters ({} accepts, {} restarts, {} incumbents), winner: {winner}",
-            outcome.stats.nodes,
-            outcome.lns.iters,
-            outcome.lns.accepts,
-            outcome.lns.restarts,
-            outcome.lns.incumbents,
+            ", {} LNS iters ({} accepts, {} restarts, {} incumbents)",
+            lns.iters, lns.accepts, lns.restarts, lns.incumbents,
         )?;
-        writeln!(
-            out,
-            "exactness: {}",
-            match outcome.exactness {
-                hs::Exactness::Proven => "proven optimal (B&B exhausted the tree)",
-                hs::Exactness::Heuristic => "best-found (budget hit before exhaustion)",
-            }
-        )?;
-        writeln!(
-            out,
-            "solve time: {:.1} ms",
-            started.elapsed().as_secs_f64() * 1e3
-        )?;
-        Ok(outcome.best)
-    } else {
-        let sol = hs::solve_parallel(m, opts());
-        writeln!(out, "parallel B&B: {} nodes", sol.stats.nodes)?;
-        writeln!(
-            out,
-            "exactness: {}",
-            if sol.proven_optimal() {
-                "proven optimal"
-            } else {
-                "best-found (budget hit before exhaustion)"
-            }
-        )?;
-        writeln!(
-            out,
-            "solve time: {:.1} ms",
-            started.elapsed().as_secs_f64() * 1e3
-        )?;
-        Ok(sol.best)
     }
+    writeln!(out, ", winner: {winner}")?;
+    writeln!(
+        out,
+        "exactness: {}",
+        match outcome.exactness {
+            hs::Exactness::Proven => "proven optimal (B&B exhausted the tree)",
+            hs::Exactness::Heuristic => "best-found (budget hit before exhaustion)",
+        }
+    )?;
+    writeln!(
+        out,
+        "solve time: {:.1} ms",
+        started.elapsed().as_secs_f64() * 1e3
+    )?;
+    Ok(outcome.best)
 }
 
 /// Executes a parsed command, returning the text to print.
@@ -1120,18 +1095,21 @@ pub fn run(command: Command) -> Result<String, HaxError> {
                     )
                 })
                 .collect();
-            let mut cache = ScheduleCache::new();
+            let cache = ShardedCache::for_phases();
             for round in 0..rounds {
                 for (i, w) in workloads.iter().enumerate() {
+                    let signature = WorkloadSignature::of(w);
                     let mut solved = None;
-                    let s = cache.get_or_insert_with(w, || {
+                    let s = cache.get(&signature).unwrap_or_else(|| {
                         let d = DHaxConn::run(&p, w, &contention, cfg);
                         solved = Some((
                             d.initial.cost,
                             d.trace.len(),
                             d.trace.last().map(|inc| inc.at),
                         ));
-                        d.into_schedule(w, &contention, cfg)
+                        let s = std::sync::Arc::new(d.into_schedule(w, &contention, cfg));
+                        cache.insert(signature, std::sync::Arc::clone(&s));
+                        s
                     });
                     let names: Vec<&str> = phases[i].iter().map(|m| m.name()).collect();
                     match solved {
@@ -1161,7 +1139,7 @@ pub fn run(command: Command) -> Result<String, HaxError> {
                     }
                 }
             }
-            let (hits, misses) = cache.stats();
+            let (hits, misses, _) = cache.stats();
             writeln!(
                 out,
                 "\nschedule cache: {hits} hits, {misses} misses, {} phases cached",
@@ -1430,17 +1408,26 @@ per-frame service {:.2} ms vs period {:.2} ms",
             if let Some((_, c)) = &seed_inc {
                 writeln!(out, "baseline seed cost: {c:.4} ms")?;
             }
-            let best = if symmetry {
-                let spec = enc.symmetry_spec(&g.platform);
-                writeln!(out, "symmetry: {} rule(s) active", spec.num_rules())?;
-                if spec.is_empty() {
-                    run_solve_flavor(&enc, &seed_inc, portfolio, lns_workers, budget, &mut out)?
-                } else {
-                    let sym = haxconn_solver::Symmetric::new(&enc, spec);
-                    run_solve_flavor(&sym, &seed_inc, portfolio, lns_workers, budget, &mut out)?
-                }
+            // An anytime race: the flavor is named here, not derived from
+            // a config, so a budget keeps the portfolio it asked for.
+            let plan = if portfolio {
+                haxconn_solver::SolvePlan::Portfolio(haxconn_solver::PortfolioOptions {
+                    lns_workers,
+                    ..Default::default()
+                })
             } else {
-                run_solve_flavor(&enc, &seed_inc, portfolio, lns_workers, budget, &mut out)?
+                haxconn_solver::SolvePlan::Parallel(Default::default())
+            };
+            let spec = symmetry.then(|| enc.symmetry_spec(&g.platform));
+            if let Some(spec) = &spec {
+                writeln!(out, "symmetry: {} rule(s) active", spec.num_rules())?;
+            }
+            let best = match spec {
+                Some(spec) if !spec.is_empty() => {
+                    let sym = haxconn_solver::Symmetric::new(&enc, spec);
+                    run_solve_plan(&sym, &plan, &seed_inc, budget, &mut out)?
+                }
+                _ => run_solve_plan(&enc, &plan, &seed_inc, budget, &mut out)?,
             };
             match best {
                 Some((a, c)) => {
@@ -1491,7 +1478,6 @@ per-frame service {:.2} ms vs period {:.2} ms",
                     max_concurrent_solves: max_solves,
                     max_pending_solves: max_pending,
                     degrade_on_overload: !no_degrade,
-                    ..Default::default()
                 },
                 ..Default::default()
             };
