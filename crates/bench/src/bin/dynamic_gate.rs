@@ -14,6 +14,11 @@
 //!    point passes the timeline invariant suite.
 //! 4. **Bounded accounting** — Jain fairness in (0, 1], every
 //!    latency-critical tenant's SLA attainment in [0, 1].
+//! 5. **Host-independent search effort** — two further, untimed replays
+//!    at one solver worker record the B&B's `solver.nodes` /
+//!    `solver.leaves` telemetry counters; they must agree exactly, and
+//!    the counts land in the report as `bb_nodes` / `bb_leaves`, a
+//!    measure of solve cost that does not depend on the runner's speed.
 //!
 //! A smaller trace is additionally swept across the three re-solve
 //! policies (Immediate / Debounced / UtilityThreshold) to record the
@@ -54,6 +59,7 @@ struct DeterminismSection {
     worker_counts_identical: bool,
     workers_compared: Vec<usize>,
     report_bytes: usize,
+    node_counts_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -75,6 +81,8 @@ struct ResolveSection {
     cache_misses: u64,
     throttle_passes: usize,
     violations: usize,
+    bb_nodes: u64,
+    bb_leaves: u64,
 }
 
 #[derive(Serialize)]
@@ -178,6 +186,32 @@ fn main() {
         );
     }
 
+    // Gate 5: B&B effort, counted by the solver's telemetry on untimed
+    // single-worker replays (deterministic, unlike wall time). Telemetry
+    // is write-only, so it cannot perturb the replay it observes.
+    let recorder = haxconn::telemetry::memory_recorder().expect("no other recorder installed");
+    let search_effort = || {
+        recorder.reset();
+        haxconn::telemetry::set_enabled(true);
+        let report = replay_at(1);
+        haxconn::telemetry::set_enabled(false);
+        assert_eq!(
+            report.to_json(),
+            base_json,
+            "telemetry perturbed the replay"
+        );
+        let counters = recorder.snapshot().counters;
+        let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+        (counter("solver.nodes"), counter("solver.leaves"))
+    };
+    let (bb_nodes, bb_leaves) = search_effort();
+    let node_counts_identical = search_effort() == (bb_nodes, bb_leaves);
+    assert!(
+        node_counts_identical,
+        "two single-worker replays searched different trees"
+    );
+    assert!(bb_nodes > 0, "no B&B nodes counted");
+
     // Policy sweep on a smaller trace: what each policy trades.
     let sweep_trace = ArrivalTrace::generate(TRACE_SEED ^ 0xBEEF, SWEEP_EVENTS, MAX_TENANTS);
     let policies = [
@@ -229,6 +263,7 @@ fn main() {
             worker_counts_identical,
             workers_compared,
             report_bytes: base_json.len(),
+            node_counts_identical,
         },
         tenants: TenantSection {
             total: base.tenants.len(),
@@ -246,6 +281,8 @@ fn main() {
             cache_misses: base.cache_misses,
             throttle_passes: base.throttles,
             violations: base.violations,
+            bb_nodes,
+            bb_leaves,
         },
         horizon_ms: base.horizon_ms,
         elapsed_s: elapsed,

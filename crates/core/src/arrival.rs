@@ -35,7 +35,7 @@ use crate::encoding::ScheduleEncoding;
 use crate::error::{parse_model, HaxError};
 use crate::problem::{DnnTask, SchedulerConfig, Workload};
 use crate::scheduler::objective_cost;
-use crate::timeline::TimelineEvaluator;
+use crate::timeline::{PredictedTimeline, TimelineEvaluator};
 use crate::validate::validate_timeline;
 use haxconn_contention::ContentionModel;
 use haxconn_des::{Engine, EventQueue, SimModel, SimTime};
@@ -530,8 +530,14 @@ impl<'a> Sim<'a> {
     }
 
     /// Evaluates `rows` (canonical order) on `workload`, writes each
-    /// tenant's predicted latency back, and returns the objective cost.
-    fn adopt(&mut self, workload: &Workload, order: &[usize], rows: &[Vec<PuId>]) -> f64 {
+    /// tenant's predicted latency back, and returns the timeline (which
+    /// `record` validates and costs, so each adoption evaluates once).
+    fn adopt(
+        &mut self,
+        workload: &Workload,
+        order: &[usize],
+        rows: &[Vec<PuId>],
+    ) -> PredictedTimeline {
         let mut ev = TimelineEvaluator::new(workload, self.contention);
         ev.contention_aware = self.options.config.contention_aware;
         let tl = ev.evaluate(rows);
@@ -539,10 +545,11 @@ impl<'a> Sim<'a> {
             self.active[i].row = rows[pos].clone();
             self.active[i].lat = tl.task_latency_ms[pos];
         }
-        objective_cost(self.options.config.objective, &tl)
+        tl
     }
 
     /// Validates + records an adopted schedule as one re-solve point.
+    /// `tl` is the timeline `adopt` evaluated for `rows`.
     fn record(
         &mut self,
         now_ms: f64,
@@ -550,13 +557,10 @@ impl<'a> Sim<'a> {
         workload: &Workload,
         order: &[usize],
         rows: Vec<Vec<PuId>>,
-        cost: f64,
+        tl: &PredictedTimeline,
     ) {
         if self.options.validate {
-            let mut ev = TimelineEvaluator::new(workload, self.contention);
-            ev.contention_aware = self.options.config.contention_aware;
-            let tl = ev.evaluate(&rows);
-            let verdict = validate_timeline(workload, &rows, &tl);
+            let verdict = validate_timeline(workload, &rows, tl);
             if !verdict.is_valid() {
                 self.report.violations += verdict.violations.len();
                 if self.report.violation_samples.len() < 8 {
@@ -575,7 +579,7 @@ impl<'a> Sim<'a> {
                     .map(|&i| self.active[i].spec.name.clone())
                     .collect(),
                 assignment: rows,
-                cost,
+                cost: objective_cost(self.options.config.objective, tl),
             });
         }
     }
@@ -735,7 +739,8 @@ impl<'a> Sim<'a> {
         let order = self.canonical_order();
         let workload = self.canonical_workload(&order);
         let patched = self.patched_rows(&order);
-        let patched_cost = self.adopt(&workload, &order, &patched);
+        let patched_tl = self.adopt(&workload, &order, &patched);
+        let patched_cost = objective_cost(self.options.config.objective, &patched_tl);
 
         let solve_now = force_solve
             || match self.options.policy {
@@ -760,7 +765,7 @@ impl<'a> Sim<'a> {
                 }
             };
 
-        let (action, rows, cost) = if solve_now {
+        let (action, rows, tl) = if solve_now {
             self.report.resolves += 1;
             haxconn_telemetry::counter_add("dynamic.resolve.count", 1);
             let (rows, action) = self.solve_mix(&workload, &patched, patched_cost);
@@ -770,14 +775,14 @@ impl<'a> Sim<'a> {
             for t in &mut self.active {
                 t.throttled = false;
             }
-            let cost = self.adopt(&workload, &order, &rows);
-            (action, rows, cost)
+            let tl = self.adopt(&workload, &order, &rows);
+            (action, rows, tl)
         } else {
             self.report.resolve_skips += 1;
             haxconn_telemetry::counter_add("dynamic.resolve.skipped", 1);
-            (ResolveAction::Patched, patched, patched_cost)
+            (ResolveAction::Patched, patched, patched_tl)
         };
-        self.record(now_ms, action, &workload, &order, rows, cost);
+        self.record(now_ms, action, &workload, &order, rows, &tl);
         self.apply_throttle(now_ms, &workload, &order);
     }
 
@@ -791,15 +796,8 @@ impl<'a> Sim<'a> {
         self.report.throttles += moves;
         haxconn_telemetry::counter_add("tenant.throttles", moves as u64);
         let rows: Vec<Vec<PuId>> = order.iter().map(|&i| self.active[i].row.clone()).collect();
-        let cost = self.adopt(workload, order, &rows);
-        self.record(
-            now_ms,
-            ResolveAction::Throttled,
-            workload,
-            order,
-            rows,
-            cost,
-        );
+        let tl = self.adopt(workload, order, &rows);
+        self.record(now_ms, ResolveAction::Throttled, workload, order, rows, &tl);
     }
 
     fn finish_tenant(&mut self, t: Tenant) {

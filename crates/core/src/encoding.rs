@@ -45,7 +45,16 @@ pub struct ScheduleEncoding<'a> {
     /// precomputed topologically in `new()` so `task_lower_bound` is a flat
     /// weighted sum over span sums — no per-call recursion over `deps`.
     closure: Vec<Vec<(usize, f64)>>,
+    /// Number of PU ids the per-PU occupancy term ranges over.
+    n_pus: usize,
 }
+
+/// Relative slack on the PU-occupancy bound term. The timeline's
+/// `integrate` accumulates an execution piecewise, so a group can end a
+/// few ulps short of `start + time_ms`; shaving 1e-9 off the summed
+/// standalone times keeps the bound at or below every completion's cost
+/// exactly, not just up to rounding.
+const OCCUPANCY_SLACK: f64 = 1.0 - 1e-9;
 
 /// Per-worker incremental state for [`ScheduleEncoding`] (the solver's
 /// `CostModel::Scratch`). Maintained by `push`/`pop` under the engine's
@@ -74,6 +83,12 @@ pub struct ScheduleScratch {
     /// Number of representative tasks currently over the transition
     /// budget; `prune_with` is the O(1) check `violations > 0`.
     violations: usize,
+    /// Per PU: Σ standalone time of every assigned `(var, k)` placed on
+    /// it — the occupancy term of the `MinMaxLatency` bound.
+    pu_load: Vec<f64>,
+    /// `saved_load[var]`: value of `pu_load[vals[var]]` at push time,
+    /// restored verbatim by `pop` (same LIFO argument as `saved_span`).
+    saved_load: Vec<f64>,
     /// Timeline evaluation workspace reused across `cost_with` leaves.
     pub(crate) ws: TimelineWorkspace,
 }
@@ -181,6 +196,7 @@ impl<'a> ScheduleEncoding<'a> {
             tasks_of_var,
             time_of_var,
             closure,
+            n_pus,
         }
     }
 
@@ -427,9 +443,19 @@ impl CostModel for ScheduleEncoding<'_> {
 
     fn bound(&self, partial: &PartialAssignment) -> f64 {
         match self.config.objective {
-            Objective::MinMaxLatency => (0..self.task_spans.len())
-                .map(|t| self.task_lower_bound(t, partial))
-                .fold(0.0, f64::max),
+            Objective::MinMaxLatency => {
+                let mut load = vec![0.0f64; self.n_pus];
+                for (var, value) in partial.iter().enumerate() {
+                    if let Some(pu) = *value {
+                        for times in &self.time_of_var[var] {
+                            load[pu as usize] += times[pu as usize];
+                        }
+                    }
+                }
+                (0..self.task_spans.len())
+                    .map(|t| self.task_lower_bound(t, partial))
+                    .fold(occupancy_bound(&load), f64::max)
+            }
             Objective::MaxThroughput => {
                 // cost = -sum 1/T; T >= lb  =>  -sum 1/T >= -sum 1/lb.
                 -(0..self.task_spans.len())
@@ -467,6 +493,8 @@ impl CostModel for ScheduleEncoding<'_> {
                 .collect(),
             trans: vec![0; n_tasks],
             violations: 0,
+            pu_load: vec![0.0; self.n_pus],
+            saved_load: vec![0.0; n_vars],
             ws: TimelineWorkspace::default(),
         }
     }
@@ -491,6 +519,13 @@ impl CostModel for ScheduleEncoding<'_> {
             scratch.saved_span[var][k] = scratch.span_sum[t];
             scratch.span_sum[t] += self.time_of_var[var][k][value as usize] - self.min_time[var];
         }
+        // Occupancy: every task sharing the span runs this group on
+        // `value`, so each adds its standalone time to that PU's load.
+        let pu = value as usize;
+        scratch.saved_load[var] = scratch.pu_load[pu];
+        for times in &self.time_of_var[var] {
+            scratch.pu_load[pu] += times[pu];
+        }
         scratch.vals[var] = value;
         scratch.assigned[var] = true;
     }
@@ -500,6 +535,7 @@ impl CostModel for ScheduleEncoding<'_> {
         for (k, &t) in self.tasks_of_var[var].iter().enumerate() {
             scratch.span_sum[t] = scratch.saved_span[var][k];
         }
+        scratch.pu_load[scratch.vals[var] as usize] = scratch.saved_load[var];
         // LIFO means the neighbour state now matches what the matching
         // push saw, so the recomputed delta is the one that was added.
         let delta = self.transition_delta(scratch, var, scratch.vals[var]);
@@ -523,7 +559,7 @@ impl CostModel for ScheduleEncoding<'_> {
         match self.config.objective {
             Objective::MinMaxLatency => (0..self.task_spans.len())
                 .map(|t| self.task_lower_bound_inc(t, scratch))
-                .fold(0.0, f64::max),
+                .fold(occupancy_bound(&scratch.pu_load), f64::max),
             Objective::MaxThroughput => -(0..self.task_spans.len())
                 .map(|t| 1000.0 / self.task_lower_bound_inc(t, scratch).max(1e-9))
                 .sum::<f64>(),
@@ -546,6 +582,20 @@ impl CostModel for ScheduleEncoding<'_> {
         });
         self.objective_of(summary.max_wait_ms, scratch.ws.task_latency_ms())
     }
+}
+
+/// The PU-occupancy term of the `MinMaxLatency` lower bound: the
+/// busiest PU's summed standalone time, shaved by [`OCCUPANCY_SLACK`].
+///
+/// Admissible because the timeline serializes each PU: a group starts at
+/// or after the PU's previous group ended (`start ≥ pu_free ≥ 0`) and
+/// runs at least its standalone time (slowdown ≥ 1, transitions ≥ 0), so
+/// the last group on a PU ends no earlier than the PU's summed times —
+/// and that group's task, hence the max task latency, ends no earlier.
+/// Unassigned variables add nothing, so the root bound is unchanged.
+#[inline]
+fn occupancy_bound(load: &[f64]) -> f64 {
+    load.iter().copied().fold(0.0, f64::max) * OCCUPANCY_SLACK
 }
 
 #[cfg(test)]
@@ -578,24 +628,200 @@ mod tests {
         assert!(pinned >= 1);
     }
 
+    /// SplitMix64: seeded, dependency-free randomness for the property
+    /// tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    fn profiled(p: &Platform, models: &[Model], groups: usize) -> Vec<DnnTask> {
+        models
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| {
+                DnnTask::new(
+                    format!("{}#{i}", m.name()),
+                    NetworkProfile::profile(p, m, groups),
+                )
+            })
+            .collect()
+    }
+
+    /// Random partials (any density, any variables), each checked against
+    /// random completions: every feasible completion costs at least the
+    /// partial's bound, from-scratch and incremental alike. Returns
+    /// `(completions checked, partials where the occupancy term is the
+    /// binding one)`.
+    fn check_admissible(enc: &ScheduleEncoding, rng: &mut Rng, label: &str) -> (usize, usize) {
+        let n = enc.num_vars();
+        let mut scratch = enc.new_scratch();
+        let (mut checked, mut occupancy_binds) = (0, 0);
+        for trial in 0..48 {
+            let density = rng.below(101);
+            // Every fourth partial leans on one PU, where the occupancy
+            // term is tightest.
+            let lean = (trial % 4 == 0).then(|| rng.below(2));
+            let partial: Vec<Option<u32>> = (0..n)
+                .map(|v| {
+                    (rng.below(100) < density).then(|| {
+                        let d = enc.domain(v);
+                        match lean {
+                            Some(i) => d[i.min(d.len() - 1)],
+                            None => d[rng.below(d.len())],
+                        }
+                    })
+                })
+                .collect();
+            let b = enc.bound(&partial);
+            for (v, value) in partial.iter().enumerate() {
+                if let Some(x) = *value {
+                    enc.push(&mut scratch, v, x);
+                }
+            }
+            let b_inc = enc.bound_with(&scratch, &partial);
+            for v in (0..n).rev() {
+                if partial[v].is_some() {
+                    enc.pop(&mut scratch, v);
+                }
+            }
+            assert!(
+                (b - b_inc).abs() <= 1e-9,
+                "{label}: bound {b} vs incremental {b_inc}"
+            );
+            let per_task = (0..enc.task_spans.len())
+                .map(|t| enc.task_lower_bound(t, &partial))
+                .fold(0.0, f64::max);
+            if b > per_task {
+                occupancy_binds += 1;
+            }
+            for _ in 0..4 {
+                let full: Assignment = (0..n)
+                    .map(|v| {
+                        partial[v].unwrap_or_else(|| {
+                            let d = enc.domain(v);
+                            d[rng.below(d.len())]
+                        })
+                    })
+                    .collect();
+                if let Some(c) = enc.cost(&full) {
+                    checked += 1;
+                    assert!(
+                        c >= b && c >= b_inc,
+                        "{label}: cost {c} below bound {b} / {b_inc} of {partial:?}"
+                    );
+                }
+            }
+        }
+        (checked, occupancy_binds)
+    }
+
     #[test]
     fn bound_is_admissible() {
-        let (_p, w, cm) = setup(&[Model::ResNet18, Model::GoogleNet]);
-        let enc = ScheduleEncoding::new(&w, &cm, SchedulerConfig::default());
-        // For a handful of random-ish complete assignments, cost >= bound of
-        // the fully-unassigned partial.
-        let empty: Vec<Option<u32>> = vec![None; enc.num_vars()];
-        let root_bound = enc.bound(&empty);
-        let mut a: Vec<u32> = (0..enc.num_vars()).map(|v| enc.domain(v)[0]).collect();
-        for flip in 0..enc.num_vars() {
-            let d = enc.domain(flip);
-            a[flip] = d[d.len() - 1];
-            if let Some(c) = enc.cost(&a) {
-                assert!(
-                    c >= root_bound - 1e-9,
-                    "cost {c} below root bound {root_bound}"
-                );
+        let orin = orin_agx();
+        let xavier = haxconn_soc::xavier_agx();
+        let dual = haxconn_soc::orin_agx_dual_dla();
+        let concurrent =
+            |p: &Platform, models: &[Model]| Workload::concurrent(profiled(p, models, 5));
+        // Two-stage pipeline unrolled over two frames: frame 1 is tied to
+        // frame 0's mapping, so tied copies load the PUs too.
+        let pipelined = {
+            let tasks = profiled(
+                &orin,
+                &[
+                    Model::ResNet18,
+                    Model::GoogleNet,
+                    Model::ResNet18,
+                    Model::GoogleNet,
+                ],
+                4,
+            );
+            Workload::concurrent(tasks)
+                .with_dep(0, 1)
+                .with_dep(2, 3)
+                .with_tie(2, 0)
+                .with_tie(3, 1)
+        };
+        let cases = [
+            (
+                "orin_agx",
+                &orin,
+                concurrent(&orin, &[Model::GoogleNet, Model::ResNet18, Model::ResNet50]),
+            ),
+            (
+                "xavier",
+                &xavier,
+                concurrent(&xavier, &[Model::Vgg19, Model::ResNet101]),
+            ),
+            (
+                "orin_agx_dual_dla",
+                &dual,
+                concurrent(
+                    &dual,
+                    &[Model::GoogleNet, Model::GoogleNet, Model::ResNet18],
+                ),
+            ),
+            ("pipeline+ties", &orin, pipelined),
+        ];
+        let mut rng = Rng(0x5EED);
+        for (name, p, w) in &cases {
+            let cm = ContentionModel::calibrate(p);
+            for epsilon_ms in [Some(0.35), None] {
+                let cfg = SchedulerConfig {
+                    epsilon_ms,
+                    ..Default::default()
+                };
+                let enc = ScheduleEncoding::new(w, &cm, cfg);
+                let label = format!("{name} eps={epsilon_ms:?}");
+                let (checked, binds) = check_admissible(&enc, &mut rng, &label);
+                assert!(checked > 0, "{label}: no feasible completion sampled");
+                assert!(binds > 0, "{label}: the occupancy term never bound");
+                // Unassigned variables add no load: the root bound is the
+                // per-task bound alone.
+                let empty: Vec<Option<u32>> = vec![None; enc.num_vars()];
+                let per_task = (0..enc.task_spans.len())
+                    .map(|t| enc.task_lower_bound(t, &empty))
+                    .fold(0.0, f64::max);
+                assert_eq!(enc.bound(&empty).to_bits(), per_task.to_bits(), "{label}");
             }
+        }
+    }
+
+    #[test]
+    fn three_tenant_mix_solves_to_the_brute_force_optimum() {
+        // The arrival engine's largest mixes are three tenants of five
+        // groups: the tightened bound must leave the lex-first optimum —
+        // cost and assignment — bit for bit where exhaustive enumeration
+        // puts it.
+        let p = orin_agx();
+        let w = Workload::concurrent(profiled(
+            &p,
+            &[Model::GoogleNet, Model::ResNet18, Model::ResNet50],
+            5,
+        ));
+        let cm = ContentionModel::calibrate(&p);
+        assert_eq!(w.num_vars(), 15);
+        for epsilon_ms in [Some(0.35), None] {
+            let cfg = SchedulerConfig {
+                epsilon_ms,
+                ..Default::default()
+            };
+            let enc = ScheduleEncoding::new(&w, &cm, cfg);
+            let (a_bf, c_bf) = haxconn_solver::brute_force(&enc).expect("feasible");
+            let (a_bb, c_bb) = solve(&enc, SolveOptions::default()).best.expect("feasible");
+            assert_eq!(c_bb.to_bits(), c_bf.to_bits(), "eps={epsilon_ms:?}");
+            assert_eq!(a_bb, a_bf, "eps={epsilon_ms:?}");
         }
     }
 

@@ -41,6 +41,40 @@ pub struct TaskDep {
     pub to: usize,
 }
 
+impl TaskDep {
+    /// Whether adding `from -> to` to `deps` would close a dependency
+    /// cycle, i.e. whether `from` is already reachable from `to`.
+    fn closes_cycle(deps: &[TaskDep], from: usize, to: usize) -> bool {
+        let mut seen = vec![to];
+        let mut stack = vec![to];
+        while let Some(u) = stack.pop() {
+            if u == from {
+                return true;
+            }
+            for d in deps.iter().filter(|d| d.from == u) {
+                if !seen.contains(&d.to) {
+                    seen.push(d.to);
+                    stack.push(d.to);
+                }
+            }
+        }
+        false
+    }
+
+    /// Rejects `deps` if any edge closes a cycle with the edges before it.
+    pub(crate) fn check_acyclic(deps: &[TaskDep]) -> Result<(), HaxError> {
+        for (i, d) in deps.iter().enumerate() {
+            if TaskDep::closes_cycle(&deps[..i], d.from, d.to) {
+                return Err(HaxError::InvalidWorkload(format!(
+                    "dependency {}->{} closes a dependency cycle",
+                    d.from, d.to
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A set of concurrently executing DNN tasks, plus streaming dependencies.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -88,13 +122,14 @@ impl Workload {
         Ok(Workload { tasks, deps, ties })
     }
 
-    /// Adds a streaming dependency. Panics on out-of-range or self
-    /// dependencies; see [`Workload::try_with_dep`].
+    /// Adds a streaming dependency. Panics on out-of-range, self or
+    /// cycle-closing dependencies; see [`Workload::try_with_dep`].
     pub fn with_dep(self, from: usize, to: usize) -> Self {
         self.try_with_dep(from, to).expect("valid dependency")
     }
 
-    /// Fallible [`Workload::with_dep`].
+    /// Fallible [`Workload::with_dep`]: rejects an edge that references
+    /// a task out of range, is a self-dependency, or closes a cycle.
     pub fn try_with_dep(mut self, from: usize, to: usize) -> Result<Self, HaxError> {
         let n = self.tasks.len();
         if from >= n || to >= n {
@@ -108,6 +143,7 @@ impl Workload {
             )));
         }
         self.deps.push(TaskDep { from, to });
+        TaskDep::check_acyclic(&self.deps)?;
         Ok(self)
     }
 
@@ -148,8 +184,8 @@ impl Workload {
     }
 
     /// Structural validation: non-empty, every dependency and tie in
-    /// range, no self-dependencies. The scheduler's fallible entry
-    /// points call this before encoding.
+    /// range, no self-dependencies or dependency cycles. The scheduler's
+    /// fallible entry points call this before encoding.
     pub fn validate(&self) -> Result<(), HaxError> {
         if self.tasks.is_empty() {
             return Err(HaxError::InvalidWorkload("workload has no tasks".into()));
@@ -170,6 +206,7 @@ impl Workload {
                 )));
             }
         }
+        TaskDep::check_acyclic(&self.deps)?;
         if self.ties.len() != self.tasks.len() {
             return Err(HaxError::InvalidWorkload(
                 "tie table length mismatch".into(),
@@ -425,8 +462,29 @@ mod tests {
         assert!(w.clone().try_with_dep(1, 1).is_err());
         assert!(w.clone().try_with_dep(0, 5).is_err());
         assert!(w.clone().try_with_tie(1, 1).is_err());
+        let err = w.clone().with_dep(0, 1).try_with_dep(1, 0).unwrap_err();
+        assert!(matches!(err, HaxError::InvalidWorkload(_)), "{err}");
         assert!(Workload::try_pipeline(vec![task(Model::ResNet18)]).is_err());
         assert!(Workload::concurrent(vec![]).validate().is_err());
+    }
+
+    #[test]
+    fn dependency_cycles_are_rejected() {
+        let w = Workload::concurrent(vec![
+            task(Model::ResNet18),
+            task(Model::GoogleNet),
+            task(Model::ResNet50),
+        ]);
+        // A longer cycle is caught at the closing edge, not only 2-cycles.
+        let chain = w.clone().with_dep(0, 1).with_dep(1, 2);
+        assert!(chain.clone().try_with_dep(2, 0).is_err());
+        // Diamonds and parallel chains are acyclic.
+        assert!(chain.clone().try_with_dep(0, 2).is_ok());
+        // `validate` also catches cycles pushed past the constructors.
+        let mut raw = chain;
+        raw.deps.push(TaskDep { from: 2, to: 0 });
+        let err = raw.validate().unwrap_err();
+        assert!(err.to_string().contains("2->0"), "{err}");
     }
 
     #[test]

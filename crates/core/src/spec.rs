@@ -102,9 +102,9 @@ impl WorkloadSpec {
 
     /// Returns the canonical normal form of this spec, validating it in
     /// the process: platform and model names are normalized to their
-    /// canonical spellings, dependencies are sorted and deduplicated,
-    /// the tie table is padded to task length, and the configuration is
-    /// checked. Two specs describing the same problem canonicalize to
+    /// canonical spellings, dependencies are sorted, deduplicated and
+    /// checked for cycles, the tie table is padded to task length, and
+    /// the configuration is checked. Two specs describing the same problem canonicalize to
     /// equal values (and therefore equal cache keys).
     pub fn canonicalize(&self) -> Result<WorkloadSpec, HaxError> {
         let platform = parse_platform(&self.platform)?.slug().to_string();
@@ -139,6 +139,7 @@ impl WorkloadSpec {
         }
         deps.sort_by_key(|d| (d.from, d.to));
         deps.dedup();
+        TaskDep::check_acyclic(&deps)?;
         if self.ties.len() > n {
             return Err(HaxError::InvalidWorkload(format!(
                 "tie table covers {} tasks, workload has {n}",
@@ -241,18 +242,20 @@ mod tests {
         let a = WorkloadSpec::new("orin")
             .task("googlenet", 6)
             .task("resnet18", 6)
-            .dep(1, 0)
+            .task("resnet50", 6)
+            .dep(1, 2)
             .dep(0, 1)
             .dep(0, 1);
         let b = WorkloadSpec::new("Orin-AGX")
             .task("GoogLeNet", 6)
             .task("ResNet18", 6)
+            .task("ResNet50", 6)
             .dep(0, 1)
-            .dep(1, 0);
+            .dep(1, 2);
         assert_eq!(a.cache_key().unwrap(), b.cache_key().unwrap());
         let c = a.canonicalize().unwrap();
         assert_eq!(c.platform, "orin-agx");
-        assert_eq!(c.ties.len(), 2);
+        assert_eq!(c.ties.len(), 3);
         assert_eq!(c.deps.len(), 2);
     }
 
@@ -294,6 +297,15 @@ mod tests {
             WorkloadSpec::new("orin")
                 .task("alexnet", 4)
                 .dep(0, 3)
+                .canonicalize(),
+            Err(HaxError::InvalidWorkload(_))
+        ));
+        assert!(matches!(
+            WorkloadSpec::new("orin")
+                .task("alexnet", 4)
+                .task("alexnet", 4)
+                .dep(0, 1)
+                .dep(1, 0)
                 .canonicalize(),
             Err(HaxError::InvalidWorkload(_))
         ));

@@ -296,6 +296,33 @@ fn protocol_and_domain_errors_are_typed_in(mode: ServeMode) {
 }
 
 #[test]
+fn dependency_cycles_are_typed_errors_and_the_solve_pool_survives() {
+    // A cyclic spec used to pass canonicalization and panic inside the
+    // encoder on a solve worker, so with one worker every later cache
+    // miss failed. It must be a typed `invalid_workload` error (422, the
+    // wire contract's status for that code) that never reaches the pool.
+    for mode in MODES {
+        let server = boot(ServeOptions {
+            workers: 1,
+            ..mode_options(mode)
+        });
+        let mut client = Client::connect(server.addr()).expect("connects");
+        let cyclic = spec().dep(0, 1).dep(1, 0).to_json().expect("serializes");
+        let (status, resp) = client.post("/v1/schedule", &cyclic).expect("responds");
+        assert_eq!(status, 422, "{mode:?}: {resp}");
+        let err: ErrorBody = serde_json::from_str(&resp).expect("typed error body");
+        assert_eq!(err.error, "invalid_workload", "{mode:?}");
+
+        // A fresh cache miss on the same single worker still solves.
+        let (status, resp) = client.post("/v1/schedule", &spec_json()).expect("responds");
+        assert_eq!(status, 200, "{mode:?}: {resp}");
+        let ok: ScheduleResponse = serde_json::from_str(&resp).expect("schedule body");
+        assert!(!ok.cached, "{mode:?}: expected a fresh solve");
+        server.stop();
+    }
+}
+
+#[test]
 fn oversized_bodies_are_rejected_without_reading() {
     for mode in MODES {
         let server = boot(ServeOptions {
